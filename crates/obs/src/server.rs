@@ -28,6 +28,10 @@ pub struct ServerMetrics {
     /// `server.annotate_secs` — wall-clock latency of `POST /annotate`
     /// bodies only (parse + pipeline + encode).
     pub annotate_secs: Arc<Histogram>,
+    /// `server.phase.parse_secs` — wall-clock time to check a
+    /// `/annotate` or session-push body as UTF-8 and parse its JSON
+    /// lines, one sample per such request, malformed bodies included.
+    pub parse_secs: Arc<Histogram>,
     /// `server.sessions` — live streaming sessions right now.
     pub sessions: Arc<Gauge>,
     /// `server.sessions_opened` — sessions created by a first push.
@@ -70,7 +74,11 @@ impl ServerMetrics {
     ];
 
     /// Every histogram name in the schema.
-    pub const HISTOGRAMS: [&'static str; 2] = ["server.request_secs", "server.annotate_secs"];
+    pub const HISTOGRAMS: [&'static str; 3] = [
+        "server.request_secs",
+        "server.annotate_secs",
+        "server.phase.parse_secs",
+    ];
 
     /// Resolves (and thereby registers) every `server.*` metric in
     /// `registry`.
@@ -83,6 +91,7 @@ impl ServerMetrics {
             responses_5xx: registry.counter("server.responses_5xx"),
             request_secs: registry.histogram("server.request_secs"),
             annotate_secs: registry.histogram("server.annotate_secs"),
+            parse_secs: registry.histogram("server.phase.parse_secs"),
             sessions: registry.gauge("server.sessions"),
             sessions_opened: registry.counter("server.sessions_opened"),
             sessions_flushed: registry.counter("server.sessions_flushed"),

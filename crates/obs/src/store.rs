@@ -5,10 +5,9 @@
 //! [`StoreMetrics`] mirrors that state into a [`MetricsRegistry`] so a
 //! `/metrics` scrape shows the storage engine next to the `stage.*` and
 //! `server.*` schemas. Storage state is *published* (gauges set from a
-//! snapshot, typically right before a scrape), while query latencies are
-//! *recorded* live into the `store.query_secs` histogram by whoever
-//! times the query — the store itself stays free of timing syscalls on
-//! its read path.
+//! snapshot, typically right before a scrape), while write latencies are
+//! *recorded* live into the `store.write_secs` histogram by whoever
+//! times the write — the store itself stays free of timing syscalls.
 
 use crate::{Gauge, Histogram, MetricsRegistry};
 use std::sync::Arc;
@@ -47,9 +46,10 @@ pub struct StoreMetrics {
     pub ep_blocks_skipped: Arc<Gauge>,
     /// `store.log_bytes` — durable log size (0 when in-memory).
     pub log_bytes: Arc<Gauge>,
-    /// `store.query_secs` — wall-clock latency of store queries, timed
-    /// by the caller (the server's write-through path).
-    pub query_secs: Arc<Histogram>,
+    /// `store.write_secs` — wall-clock latency of one annotated
+    /// trajectory's store write, timed by the caller (the server's
+    /// write-through path).
+    pub write_secs: Arc<Histogram>,
 }
 
 impl StoreMetrics {
@@ -74,7 +74,7 @@ impl StoreMetrics {
     ];
 
     /// Every histogram name in the schema.
-    pub const HISTOGRAMS: [&'static str; 1] = ["store.query_secs"];
+    pub const HISTOGRAMS: [&'static str; 1] = ["store.write_secs"];
 
     /// Resolves (and thereby registers) every `store.*` metric in
     /// `registry`.
@@ -96,7 +96,7 @@ impl StoreMetrics {
             ep_blocks_checked: registry.gauge("store.ep_blocks_checked"),
             ep_blocks_skipped: registry.gauge("store.ep_blocks_skipped"),
             log_bytes: registry.gauge("store.log_bytes"),
-            query_secs: registry.histogram("store.query_secs"),
+            write_secs: registry.histogram("store.write_secs"),
         }
     }
 }
@@ -116,6 +116,9 @@ mod tests {
         for name in StoreMetrics::HISTOGRAMS {
             assert!(snap.histogram(name).is_some(), "{name} not pre-registered");
         }
+        // writes are the only store latency anyone times
+        assert_eq!(StoreMetrics::HISTOGRAMS, ["store.write_secs"]);
+        assert!(snap.histogram("store.query_secs").is_none());
     }
 
     #[test]

@@ -28,8 +28,48 @@
 use semitri::prelude::*;
 use semitri::server::{wire, ServeConfig, Server};
 use semitri::store::export::{kml_document, sst_kml};
+use std::io::Write as _;
 use std::process::ExitCode;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Set once a write to stdout fails because its reader has gone away,
+/// as when the output is piped into `head`. From then on output is
+/// dropped and the subcommand runs to its end (a `generate` still writes
+/// its store), then exits as it would have.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes to stdout like `print!`, but a closed stdout ends the output
+/// quietly instead of panicking. Any other write error is fatal.
+fn write_stdout(args: std::fmt::Arguments) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        } else {
+            eprintln!("cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -74,7 +114,7 @@ fn parse_category(s: &str) -> Option<PoiCategory> {
 fn print_metrics(summary: &BatchSummary) {
     let m = &summary.metrics;
     if m.counter("stage.preprocess.calls") > 0 {
-        println!(
+        outln!(
             "preprocessing: {} fixes in, {} kept, {} dropped, {} reordered, {} deduped",
             m.counter("stage.preprocess.records"),
             m.counter("stage.preprocess.kept"),
@@ -83,10 +123,19 @@ fn print_metrics(summary: &BatchSummary) {
             m.counter("stage.preprocess.deduped"),
         );
     }
-    println!("per-layer breakdown (latencies in ms):");
-    println!(
+    outln!("per-layer breakdown (latencies in ms):");
+    outln!(
         "  {:<10} {:>7} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>12}",
-        "layer", "calls", "records", "min", "mean", "p50", "p95", "p99", "max", "records/s"
+        "layer",
+        "calls",
+        "records",
+        "min",
+        "mean",
+        "p50",
+        "p95",
+        "p99",
+        "max",
+        "records/s"
     );
     for (stage, s) in summary.stages() {
         // per-layer throughput over the stage's own busy time (sum of
@@ -97,7 +146,7 @@ fn print_metrics(summary: &BatchSummary) {
         } else {
             0.0
         };
-        println!(
+        outln!(
             "  {:<10} {:>7} {:>10} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>12.0}",
             stage.id(),
             s.count,
@@ -111,8 +160,8 @@ fn print_metrics(summary: &BatchSummary) {
             rate,
         );
     }
-    println!("metrics (json lines):");
-    print!("{}", summary.metrics.to_json_lines());
+    outln!("metrics (json lines):");
+    out!("{}", summary.metrics.to_json_lines());
 }
 
 /// Builds the city and streaming policy of a dataset preset, plus the
@@ -184,7 +233,7 @@ fn serve(
         // the store.* schema joins /metrics
         let store = open(path)?;
         server = server.with_store(std::sync::Arc::new(store));
-        println!("write-through store: {path}");
+        outln!("write-through store: {path}");
     }
     let listener = std::net::TcpListener::bind(addr).map_err(|e| {
         eprintln!("cannot bind {addr}: {e}");
@@ -195,8 +244,7 @@ fn serve(
         ExitCode::FAILURE
     })?;
     // scripts (CI smoke, load tests) wait for this line before curling
-    println!("semitri-server listening on http://{bound} (preset {preset}, seed {seed})");
-    use std::io::Write as _;
+    outln!("semitri-server listening on http://{bound} (preset {preset}, seed {seed})");
     let _ = std::io::stdout().flush();
     let shutdown = AtomicBool::new(false);
     server.run(listener, &shutdown).map_err(|e| {
@@ -225,7 +273,7 @@ fn annotate(preset: &str, seed: u64) -> Result<(), ExitCode> {
         eprintln!("annotation failed: {e}");
         ExitCode::FAILURE
     })?;
-    print!("{}", wire::encode_output(&out));
+    out!("{}", wire::encode_output(&out));
     Ok(())
 }
 
@@ -262,7 +310,7 @@ fn generate(
             return Err(ExitCode::from(2));
         }
     };
-    println!(
+    outln!(
         "generated '{}': {} trajectories, {} GPS records",
         dataset.name,
         dataset.tracks.len(),
@@ -315,7 +363,7 @@ fn generate(
                 })
                 .collect();
             let degraded: usize = feeds.iter().map(|f| f.records.len()).sum();
-            println!(
+            outln!(
                 "injected faults [{spec}]: {} fixes after degradation",
                 degraded
             );
@@ -326,7 +374,7 @@ fn generate(
             annotator.annotate_all(&raws)
         }
     };
-    println!(
+    outln!(
         "annotated with {} worker(s): {} records in {:.2}s ({:.0} records/s)",
         batch.summary.threads,
         batch.summary.records,
@@ -351,8 +399,8 @@ fn generate(
     }
     let (t, e, s) = store.counts();
     let m = store.metrics();
-    println!("stored {t} trajectories, {e} episodes, {s} semantic trajectories → {path}");
-    println!(
+    outln!("stored {t} trajectories, {e} episodes, {s} semantic trajectories → {path}");
+    outln!(
         "  fix columns: {} fixes in {} blocks, {:.2} bytes/fix ({} → {} bytes)",
         m.fix_count,
         m.fix_blocks,
@@ -404,7 +452,7 @@ fn raster(
     }
     let raws: Vec<RawTrajectory> = dataset.tracks.iter().map(|t| t.to_raw()).collect();
     let batch = annotator.annotate_all(&raws);
-    println!(
+    outln!(
         "annotated '{}' with {} worker(s): {} records in {:.2}s ({:.0} records/s)",
         dataset.name,
         batch.summary.threads,
@@ -431,15 +479,15 @@ fn raster(
     } else {
         0.0
     };
-    println!(
+    outln!(
         "raster {nx}x{ny} cells of {cell_m} m: burned {burned} fixes ({} out of bounds) on {workers} worker(s) in {secs:.3}s ({rate:.0} fixes/s)",
         grid.dropped()
     );
-    println!("  {:<32} {:>10} {:>8}", "layer", "fixes", "cells");
+    outln!("  {:<32} {:>10} {:>8}", "layer", "fixes", "cells");
     let row = |name: String, layer: RasterLayer| {
         let total = grid.layer_total(layer);
         if total > 0 {
-            println!(
+            outln!(
                 "  {:<32} {:>10} {:>8}",
                 name,
                 total,
@@ -463,9 +511,9 @@ fn raster(
         row(format!("landuse/{}", c.label()), RasterLayer::Landuse(c));
     }
     if top > 0 {
-        println!("top {top} cells (total layer):");
+        outln!("top {top} cells (total layer):");
         for (ix, iy, n) in grid.top_cells(RasterLayer::Total, top) {
-            println!("  ({ix:>4},{iy:>4}) {n}");
+            outln!("  ({ix:>4},{iy:>4}) {n}");
         }
     }
     Ok(())
@@ -630,12 +678,12 @@ fn run() -> Result<(), ExitCode> {
             };
             let store = open(path)?;
             let (t, e, s) = store.counts();
-            println!("store {path}");
-            println!("  trajectories: {t}");
-            println!("  episodes:     {e}");
-            println!("  semantic trajectories: {s}");
+            outln!("store {path}");
+            outln!("  trajectories: {t}");
+            outln!("  episodes:     {e}");
+            outln!("  semantic trajectories: {s}");
             if let Some(size) = store.log_size() {
-                println!("  log size: {size} bytes");
+                outln!("  log size: {size} bytes");
             }
             Ok(())
         }
@@ -649,7 +697,7 @@ fn run() -> Result<(), ExitCode> {
                 *seen.entry(meta.object_id).or_insert(0usize) += 1;
             }
             for (object, count) in seen {
-                println!("object {object}: {count} trajectories");
+                outln!("object {object}: {count} trajectories");
             }
             Ok(())
         }
@@ -661,7 +709,7 @@ fn run() -> Result<(), ExitCode> {
             let store = open(path)?;
             match store.get_sst(id) {
                 Some(sst) => {
-                    println!("{}", sst.render());
+                    outln!("{}", sst.render());
                     Ok(())
                 }
                 None => {
@@ -680,7 +728,7 @@ fn run() -> Result<(), ExitCode> {
             };
             let store = open(path)?;
             for id in store.ssts_with_mode(mode) {
-                println!("{id}");
+                outln!("{id}");
             }
             Ok(())
         }
@@ -694,7 +742,7 @@ fn run() -> Result<(), ExitCode> {
             };
             let store = open(path)?;
             for id in store.ssts_with_activity(cat) {
-                println!("{id}");
+                outln!("{id}");
             }
             Ok(())
         }
@@ -704,13 +752,13 @@ fn run() -> Result<(), ExitCode> {
             };
             let store = open(path)?;
             let stats = store.annotation_statistics();
-            println!("mode tuples:");
+            outln!("mode tuples:");
             for m in TransportMode::ALL {
-                println!("  {:<8} {}", m.label(), stats.mode(m));
+                outln!("  {:<8} {}", m.label(), stats.mode(m));
             }
-            println!("activity tuples:");
+            outln!("activity tuples:");
             for c in PoiCategory::ALL {
-                println!("  {:<12} {}", c.label(), stats.activity(c));
+                outln!("  {:<12} {}", c.label(), stats.activity(c));
             }
             Ok(())
         }
@@ -722,16 +770,16 @@ fn run() -> Result<(), ExitCode> {
             let store = open(path)?;
             // warehouse aggregates, scanned over the compressed columns
             let stops = store.stops_per_landuse_hour();
-            println!("stops per landuse category (hourly total):");
+            outln!("stops per landuse category (hourly total):");
             for c in LanduseCategory::ALL {
                 let total: u64 = (0..24).map(|h| stops.get(c, h)).sum();
                 if total > 0 {
                     let peak = (0..24).max_by_key(|&h| stops.get(c, h)).unwrap_or(0);
-                    println!("  {:<16} {total:>6} (peak hour {peak:02})", c.label());
+                    outln!("  {:<16} {total:>6} (peak hour {peak:02})", c.label());
                 }
             }
             let share = store.mode_share_by_road_class();
-            println!("mode share by road class (record-weighted):");
+            outln!("mode share by road class (record-weighted):");
             for class in RoadClass::ALL {
                 let row: u64 = TransportMode::ALL
                     .iter()
@@ -740,22 +788,24 @@ fn run() -> Result<(), ExitCode> {
                 if row == 0 {
                     continue;
                 }
-                print!("  {:<8}", class.label());
+                out!("  {:<8}", class.label());
                 for m in TransportMode::ALL {
                     let pct = 100.0 * share.get(class, m) as f64 / row as f64;
-                    print!(" {}={pct:.0}%", m.label());
+                    out!(" {}={pct:.0}%", m.label());
                 }
-                println!();
+                outln!();
             }
-            println!("top {top} POIs by stop visits:");
+            outln!("top {top} POIs by stop visits:");
             for v in store.top_poi_visits(top) {
-                println!(
+                outln!(
                     "  {:<24} {} visits (place {})",
-                    v.label, v.visits, v.place_id
+                    v.label,
+                    v.visits,
+                    v.place_id
                 );
             }
             let m = store.metrics();
-            println!(
+            outln!(
                 "scan stats: {} fixes at {:.2} bytes/fix, {} live tuples, block-skip rate {:.0}%",
                 m.fix_count,
                 m.bytes_per_fix(),
@@ -779,7 +829,7 @@ fn run() -> Result<(), ExitCode> {
                 eprintln!("cannot write {out}: {e}");
                 ExitCode::FAILURE
             })?;
-            println!("wrote {out}");
+            outln!("wrote {out}");
             Ok(())
         }
         Some("compact") => {
@@ -793,7 +843,7 @@ fn run() -> Result<(), ExitCode> {
                 ExitCode::FAILURE
             })?;
             let after = store.log_size().unwrap_or(0);
-            println!("compacted: {before} → {after} bytes");
+            outln!("compacted: {before} → {after} bytes");
             Ok(())
         }
         _ => Err(usage()),

@@ -172,7 +172,7 @@ impl Server {
     /// `POST /annotate` is also persisted end to end (compressed fixes,
     /// episode ranges, SST with derived layer rows), and `/metrics`
     /// grows the `store.*` schema published from the store's counters.
-    /// Store write latency is recorded in `store.query_secs`.
+    /// Store write latency is recorded in `store.write_secs`.
     pub fn with_store(mut self, store: Arc<SemanticTrajectoryStore>) -> Self {
         let metrics = StoreMetrics::new(&self.registry);
         store.publish_metrics(&metrics);
@@ -370,15 +370,29 @@ impl Server {
         )
     }
 
+    /// Checks a JSON-lines request body as UTF-8 and parses it, timing
+    /// both into `server.phase.parse_secs`. A malformed body is a 422
+    /// carrying the parse error.
+    fn parse_body<T>(
+        &self,
+        body: &[u8],
+        parse: fn(&str) -> Result<T, wire::WireError>,
+    ) -> Result<T, Response> {
+        let t0 = Instant::now();
+        let parsed = match std::str::from_utf8(body) {
+            Ok(text) => parse(text).map_err(|e| Response::error(422, &e.to_string())),
+            Err(_) => Err(Response::error(422, "body is not UTF-8")),
+        };
+        self.metrics.parse_secs.record(t0.elapsed().as_secs_f64());
+        parsed
+    }
+
     /// `POST /annotate`: one-shot full-trajectory annotation.
     fn annotate(&self, body: &[u8]) -> Response {
         let t0 = Instant::now();
-        let Ok(text) = std::str::from_utf8(body) else {
-            return Response::error(422, "body is not UTF-8");
-        };
-        let feed = match wire::parse_feed(text) {
+        let feed = match self.parse_body(body, wire::parse_feed) {
             Ok(f) => f,
-            Err(e) => return Response::error(422, &e.to_string()),
+            Err(resp) => return resp,
         };
         // pin once so annotation and the write-through store ingest see
         // the same generation's road network
@@ -392,7 +406,7 @@ impl Server {
             if let Err(e) = store.put_annotated(&out, &pin.snapshot().city().roads) {
                 return Response::error(500, &format!("store write failed: {e}"));
             }
-            m.query_secs.record(t_store.elapsed().as_secs_f64());
+            m.write_secs.record(t_store.elapsed().as_secs_f64());
         }
         let body = wire::encode_output(&out);
         self.metrics
@@ -403,12 +417,9 @@ impl Server {
 
     /// `POST /session/{user}/push`.
     fn session_push(&self, user: &str, body: &[u8], sessions: &SessionTable<'static>) -> Response {
-        let Ok(text) = std::str::from_utf8(body) else {
-            return Response::error(422, "body is not UTF-8");
-        };
-        let records = match wire::parse_records(text) {
+        let records = match self.parse_body(body, wire::parse_records) {
             Ok(r) => r,
-            Err(e) => return Response::error(422, &e.to_string()),
+            Err(resp) => return resp,
         };
         match sessions.push(user, &records, || self.live.streaming(self.policy)) {
             Ok(result) => {

@@ -216,3 +216,81 @@ fn bad_usage_exits_nonzero() {
     assert_eq!(out.status.code(), Some(1));
     let _ = std::fs::remove_file(&store);
 }
+
+/// A pipe whose reading end is already closed: every write to it fails
+/// with `EPIPE`, as when the CLI's output goes into `head` and `head` has
+/// exited. The reader is a `true` process that exits without reading.
+#[cfg(unix)]
+fn closed_pipe() -> std::process::Stdio {
+    let mut reader = Command::new("true")
+        .stdin(std::process::Stdio::piped())
+        .spawn()
+        .expect("true runs");
+    let write_end = reader.stdin.take().unwrap();
+    reader.wait().unwrap();
+    std::process::Stdio::from(write_end)
+}
+
+#[cfg(unix)]
+#[test]
+fn closed_stdout_ends_every_subcommand_quietly() {
+    use std::io::Write;
+    let store = temp_store("closed-stdout.stlog");
+    let store_s = store.to_str().unwrap();
+    let kml = temp_store("closed-stdout.kml");
+    let run = |args: &[&str], stdin: Option<&str>| {
+        let mut cmd = cli();
+        cmd.args(args)
+            .stdout(closed_pipe())
+            .stderr(std::process::Stdio::piped());
+        if stdin.is_some() {
+            cmd.stdin(std::process::Stdio::piped());
+        }
+        let mut child = cmd.spawn().expect("cli runs");
+        if let Some(body) = stdin {
+            child
+                .stdin
+                .take()
+                .unwrap()
+                .write_all(body.as_bytes())
+                .unwrap();
+        }
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !stderr.contains("panicked") && !stderr.contains("Broken pipe"),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.status.success(), "{args:?}: {:?} {stderr}", out.status);
+    };
+
+    // a closed stdout does not stop generate from writing its store
+    run(
+        &["generate", "phones", store_s, "7", "1", "--metrics"],
+        None,
+    );
+    let out = cli().args(["info", store_s]).output().unwrap();
+    assert!(String::from_utf8_lossy(&out.stdout).contains("trajectories: 6"));
+
+    for args in [
+        vec!["info", store_s],
+        vec!["objects", store_s],
+        vec!["show", store_s, "0"],
+        vec!["query-mode", store_s, "walk"],
+        vec!["query-activity", store_s, "services"],
+        vec!["stats", store_s],
+        vec!["olap", store_s, "3"],
+        vec!["export-kml", store_s, "0", kml.to_str().unwrap()],
+        vec!["compact", store_s],
+        vec!["raster", "phones", "7", "1", "--top", "3"],
+    ] {
+        run(&args, None);
+    }
+    run(
+        &["annotate", "phones", "7"],
+        Some("{\"x\":2000,\"y\":2000,\"t\":28800}\n{\"x\":2005,\"y\":2000,\"t\":28830}\n"),
+    );
+
+    let _ = std::fs::remove_file(&store);
+    let _ = std::fs::remove_file(&kml);
+}

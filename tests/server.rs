@@ -24,9 +24,13 @@ static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
 /// Boots a `taxis`-preset (seed 42) server on an ephemeral port — the
 /// same pipeline construction as `semitri-cli serve taxis`, which is what
-/// byte-identity with `semitri-cli annotate taxis` depends on. Leaks the
-/// server: tests are short-lived processes.
+/// byte-identity with `semitri-cli annotate taxis` depends on.
 fn boot(limits: SessionLimits) -> SocketAddr {
+    spawn(taxis_server(limits))
+}
+
+/// The `taxis`-preset (seed 42) server [`boot`] runs.
+fn taxis_server(limits: SessionLimits) -> Server {
     let city = lausanne_taxis(1, 42).city;
     let make_config = || PipelineConfig {
         mode: ModeInferencer {
@@ -36,7 +40,7 @@ fn boot(limits: SessionLimits) -> SocketAddr {
         policy: Box::new(VelocityPolicy::vehicles()),
         ..PipelineConfig::default()
     };
-    let server: &'static Server = Box::leak(Box::new(Server::new(
+    Server::new(
         city,
         make_config,
         VelocityPolicy::vehicles(),
@@ -45,7 +49,13 @@ fn boot(limits: SessionLimits) -> SocketAddr {
             sessions: limits,
             ..ServeConfig::default()
         },
-    )));
+    )
+}
+
+/// Runs `server` on an ephemeral port. Leaks the server: tests are
+/// short-lived processes.
+fn spawn(server: Server) -> SocketAddr {
+    let server: &'static Server = Box::leak(Box::new(server));
     // binding 127.0.0.1:0 can transiently fail under parallel test
     // processes churning through the ephemeral range; retry with a fresh
     // port a bounded number of times instead of failing the suite
@@ -127,6 +137,17 @@ fn metric(metrics_body: &str, name: &str) -> i64 {
         }
     }
     panic!("metric {name} not found in:\n{metrics_body}");
+}
+
+/// Reads the sample count of histogram `name` out of a `/metrics` body.
+fn histogram_count(metrics_body: &str, name: &str) -> u64 {
+    let needle = format!("\"name\":\"{name}\",\"count\":");
+    let line = metrics_body
+        .lines()
+        .find(|l| l.contains(&needle))
+        .unwrap_or_else(|| panic!("histogram {name} not found in:\n{metrics_body}"));
+    let rest = &line[line.find(&needle).unwrap() + needle.len()..];
+    rest[..rest.find(',').unwrap()].parse().unwrap()
 }
 
 /// Renders a simulated track as the JSON-lines wire feed.
@@ -427,4 +448,55 @@ fn admin_update_swaps_generations_without_downtime() {
     let (status, body) = request(addr, "POST", "/annotate", &feed_body(&dataset.tracks[0]));
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"type\":\"summary\""));
+}
+
+#[test]
+fn parse_and_store_write_phases_record_one_sample_per_request() {
+    let store = std::sync::Arc::new(semitri::store::SemanticTrajectoryStore::in_memory());
+    let addr = spawn(taxis_server(SessionLimits::default()).with_store(store));
+    let dataset = lausanne_taxis(1, 42);
+    let feed = feed_body(&dataset.tracks[0]);
+    let push = small_feed_records(5);
+    let missing_t = "{\"object_id\":7,\"trajectory_id\":1}\n{\"x\":2000,\"y\":2000}\n";
+
+    // a fix without 't' is a 422 naming the line and the field
+    let (status, resp) = request(addr, "POST", "/annotate", missing_t);
+    assert_eq!(
+        (status, resp.as_str()),
+        (
+            422,
+            "{\"type\":\"error\",\"status\":422,\"message\":\"line 2: fix is missing field 't'\"}\n"
+        )
+    );
+    // more annotate requests: two stored, two rejected by the parser
+    let annotates = [
+        (feed.as_str(), 200),
+        (missing_t, 422),
+        ("not json\n", 422),
+        (feed.as_str(), 200),
+    ];
+    for (body, want) in annotates {
+        let (status, resp) = request(addr, "POST", "/annotate", body);
+        assert_eq!(status, want, "{resp}");
+    }
+    // pushes, one of them malformed; a flush is not parsed
+    let pushes = [
+        (push.as_str(), 200),
+        ("{\"x\":1}", 422),
+        (push.as_str(), 200),
+    ];
+    for (body, want) in pushes {
+        let (status, resp) = request(addr, "POST", "/session/carol/push", body);
+        assert_eq!(status, want, "{resp}");
+    }
+    assert_eq!(request(addr, "POST", "/session/carol/flush", "").0, 200);
+
+    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    assert_eq!(
+        histogram_count(&metrics, "server.phase.parse_secs"),
+        (1 + annotates.len() + pushes.len()) as u64
+    );
+    // only the two stored trajectories were timed as store writes
+    assert_eq!(histogram_count(&metrics, "store.write_secs"), 2);
+    assert!(!metrics.contains("store.query_secs"), "{metrics}");
 }
